@@ -1,4 +1,4 @@
-//! Algorithm 1 per-layer search cost on a realistic sample reservoir.
+//! Algorithm 1 per-layer search cost on a realistic BL count histogram.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -15,7 +15,7 @@ fn samples() -> LayerSamples {
     }
     let mut hist = Histogram::new(0.0, 129.0, 129).unwrap();
     hist.extend(values.iter().copied());
-    LayerSamples { mvm_index: 0, label: "bench".into(), seen: values.len() as u64, values, hist }
+    LayerSamples { mvm_index: 0, label: "bench".into(), seen: values.len() as u64, hist }
 }
 
 fn bench_calibration(c: &mut Criterion) {

@@ -18,7 +18,6 @@ use trq_core::arch::ArchConfig;
 use trq_core::calib::{collect_bl_samples, evaluate_plan, plan_network, CalibSettings};
 use trq_core::experiments::Workload;
 use trq_core::pim::{AdcScheme, CollectorConfig};
-use trq_quant::quantizer_mse;
 
 #[derive(Serialize)]
 struct AblationReport {
@@ -89,7 +88,7 @@ fn main() {
     let busiest = samples.iter().max_by_key(|s| s.seen).expect("at least one layer");
     let nu = NonUniformSarAdc::from_histogram(&busiest.hist, nmax)
         .expect("non-degenerate calibration histogram");
-    let nu_mse = quantizer_mse(&busiest.values, |x| nu.convert(x).value);
+    let nu_mse = busiest.distribution().mse(|x| nu.convert(x).value);
     let trq_mse = plans[busiest.mvm_index].mse.max(f64::MIN_POSITIVE);
 
     let report = AblationReport {

@@ -47,7 +47,9 @@ pub struct PlanEval {
 
 /// Runs the quantized network over calibration images with an ideal-ADC
 /// collector engine and returns per-layer BL samples — Algorithm 1's raw
-/// input (the paper samples 32 calibration images).
+/// input (the paper samples 32 calibration images). Each layer's
+/// histogram holds every BL count of the run; `_config` has no options
+/// and is accepted so existing callers keep compiling.
 ///
 /// # Errors
 ///
@@ -57,13 +59,12 @@ pub fn collect_bl_samples(
     qnet: &QuantizedNetwork,
     arch: &ArchConfig,
     images: &[Tensor],
-    config: CollectorConfig,
+    _config: CollectorConfig,
 ) -> Result<Vec<LayerSamples>, CalibError> {
-    let mut engine = PimMvm::collector(*arch, qnet.layers().len(), config);
+    let mut engine = PimMvm::collector(*arch);
     // the whole calibration batch goes through each layer in one engine
-    // call; the collector's per-tile counts pass sees every BL sample in
-    // deterministic tile order (the collector pins tile rounds to one
-    // thread for exactly this reason, so no pool sharding here)
+    // call, so tile rounds have enough work to spread over the engine's
+    // threads; the merged histograms do not depend on the thread count
     qnet.forward_batch(images, &mut engine).map_err(CalibError::Collection)?;
     Ok(engine.take_samples())
 }

@@ -1,11 +1,10 @@
 //! Per-layer TRQ parameter search (Algorithm 1 lines 4–17, 23).
 
 use crate::arch::ArchConfig;
-use crate::pim::{AdcScheme, LayerSamples};
+use crate::pim::{AdcScheme, CountDist, LayerSamples};
 use serde::{Deserialize, Serialize};
 use trq_quant::{
-    quantizer_mse, ClassifierConfig, DistributionClass, TrqParams, TwinRangeQuantizer,
-    UniformQuantizer,
+    ClassifierConfig, DistributionClass, TrqParams, TwinRangeQuantizer, UniformQuantizer,
 };
 
 /// Tunables of the search (paper defaults in Section V-A).
@@ -63,19 +62,51 @@ pub struct LayerPlan {
     pub rideal: u32,
 }
 
-/// Eq. 9 cost in A/D operations, computed on pre-sorted samples with two
+/// Eq. 9 cost in A/D operations over the whole distribution, with two
 /// binary searches (the window membership count) instead of a full pass.
-fn trq_ops_cost(sorted: &[f64], params: &TrqParams) -> f64 {
-    let n = sorted.len() as f64;
-    let lo = sorted.partition_point(|&v| v < params.theta_lo()) as f64;
-    let hi = sorted.partition_point(|&v| v < params.theta_hi()) as f64;
+fn trq_ops_cost(dist: &CountDist, params: &TrqParams) -> f64 {
+    let n = dist.total() as f64;
+    let lo = dist.below(params.theta_lo()) as f64;
+    let hi = dist.below(params.theta_hi()) as f64;
     let in_r1 = hi - lo;
     params.nu() as f64 * n + in_r1 * params.n_r1() as f64 + (n - in_r1) * params.n_r2() as f64
 }
 
-fn trq_mse(values: &[f64], params: &TrqParams) -> f64 {
+fn trq_mse(dist: &CountDist, params: &TrqParams) -> f64 {
     let q = TwinRangeQuantizer::new(*params);
-    quantizer_mse(values, |x| q.quantize(x).value)
+    dist.mse(|x| q.quantize(x).value)
+}
+
+/// Algorithm 1's `Vgrid` candidates for a layer whose largest count is
+/// `ymax`: `C` points spanning `[α·ymax, β·ymax] / (2^RADC − 1)`.
+fn vgrid_candidates(ymax: f64, arch: &ArchConfig, s: &CalibSettings) -> impl Iterator<Item = f64> {
+    let full_codes = ((1u64 << arch.adc_bits) - 1) as f64;
+    let lo = (s.alpha * ymax / full_codes).max(1e-6);
+    let hi = (s.beta * ymax / full_codes).max(lo * 1.0001);
+    let steps = s.candidates.max(2);
+    (0..steps).map(move |k| lo + (hi - lo) * k as f64 / (steps - 1) as f64)
+}
+
+/// The lowest-MSE uniform quantizer at `bits` among the `Vgrid`
+/// candidates, as `(vgrid, mse)`: Algorithm 1 line 23's comparison point
+/// and the Fig. 6a baseline. `ymax` must be positive.
+pub(crate) fn best_uniform(
+    dist: &CountDist,
+    ymax: f64,
+    bits: u32,
+    arch: &ArchConfig,
+    s: &CalibSettings,
+) -> (f64, f64) {
+    let mut best = (f64::NAN, f64::INFINITY);
+    for vgrid in vgrid_candidates(ymax, arch, s) {
+        // lint: allow(unwrap): callers pass 1..=16 bits; vgrid >= 1e-6
+        let q = UniformQuantizer::new(bits, vgrid).expect("validated bits/step");
+        let mse = dist.mse(|x| q.quantize(x));
+        if mse < best.1 {
+            best = (vgrid, mse);
+        }
+    }
+    best
 }
 
 struct Candidate {
@@ -91,9 +122,8 @@ pub fn plan_layer(
     nmax: u32,
     s: &CalibSettings,
 ) -> LayerPlan {
-    let mut sorted = samples.values.clone();
-    sorted.sort_by(f64::total_cmp);
-    let n = sorted.len().max(1) as f64;
+    let dist = samples.distribution();
+    let n = dist.total().max(1) as f64;
     let ymax = samples.hist.sample_max().max(0.0);
     let ymin = samples.hist.sample_min().max(0.0);
     let class = DistributionClass::classify(&samples.hist, &s.classifier);
@@ -113,14 +143,9 @@ pub fn plan_layer(
 
     let rideal = ((ymax - ymin + 1.0).log2().ceil() as u32).clamp(1, 16);
     let n_r2 = nmax.min(rideal).max(1);
-    let full_codes = ((1u64 << arch.adc_bits) - 1) as f64;
-    let grid_lo = (s.alpha * ymax / full_codes).max(1e-6);
-    let grid_hi = (s.beta * ymax / full_codes).max(grid_lo * 1.0001);
-    let steps = s.candidates.max(2);
 
-    let mut per_grid_best: Vec<Candidate> = Vec::with_capacity(steps);
-    for k in 0..steps {
-        let vgrid = grid_lo + (grid_hi - grid_lo) * k as f64 / (steps - 1) as f64;
+    let mut per_grid_best: Vec<Candidate> = Vec::new();
+    for vgrid in vgrid_candidates(ymax, arch, s) {
         // the full-precision code range this grid implies
         let rfull = ((ymax / vgrid + 1.0).log2().ceil() as u32).clamp(n_r2, 16);
         let mut best: Option<Candidate> = None;
@@ -139,7 +164,7 @@ pub fn plan_layer(
                     let Ok(params) = TrqParams::new(n_r1, n_r2, m, vgrid, bias) else {
                         continue;
                     };
-                    let cost = trq_ops_cost(&sorted, &params);
+                    let cost = trq_ops_cost(&dist, &params);
                     if best.as_ref().is_none_or(|b| cost < b.cost) {
                         best = Some(Candidate { params, cost, mse: f64::NAN });
                     }
@@ -154,8 +179,8 @@ pub fn plan_layer(
                 let Ok(params) = TrqParams::new(n_r2, n_r2, m, delta_r1, 0) else {
                     continue;
                 };
-                let mse = trq_mse(&sorted, &params);
-                let cost = trq_ops_cost(&sorted, &params);
+                let mse = trq_mse(&dist, &params);
+                let cost = trq_ops_cost(&dist, &params);
                 if best.as_ref().is_none_or(|b| mse < b.mse) {
                     best = Some(Candidate { params, cost, mse });
                 }
@@ -163,7 +188,7 @@ pub fn plan_layer(
         }
         if let Some(mut cand) = best {
             if cand.mse.is_nan() {
-                cand.mse = trq_mse(&sorted, &cand.params);
+                cand.mse = trq_mse(&dist, &cand.params);
             }
             per_grid_best.push(cand);
         }
@@ -184,18 +209,7 @@ pub fn plan_layer(
         .expect("guard band always contains the min-MSE candidate");
 
     // line 23: compare with uniform quantization at NR2 bits
-    let mut uni_best: Option<(f64, f64)> = None; // (vgrid, mse)
-    for k in 0..steps {
-        let vgrid = grid_lo + (grid_hi - grid_lo) * k as f64 / (steps - 1) as f64;
-        // lint: allow(unwrap): bits and step were validated above
-        let q = UniformQuantizer::new(n_r2, vgrid).expect("validated bits/step");
-        let mse = quantizer_mse(&sorted, |x| q.quantize(x));
-        if uni_best.is_none_or(|(_, m)| mse < m) {
-            uni_best = Some((vgrid, mse));
-        }
-    }
-    // lint: allow(unwrap): the grid loop runs `steps >= 2` iterations
-    let (uni_vgrid, uni_mse) = uni_best.expect("at least one grid candidate");
+    let (uni_vgrid, uni_mse) = best_uniform(&dist, ymax, n_r2, arch, s);
     let trq_mean_ops = trq_best.cost / n;
     let uni_mean_ops = n_r2 as f64;
 
@@ -204,80 +218,36 @@ pub fn plan_layer(
     let take_uniform = uni_mean_ops < trq_mean_ops && uni_mse <= trq_best.mse * s.mse_guard
         || trq_best.mse > uni_mse * s.mse_guard && uni_mean_ops <= trq_mean_ops * 1.25;
 
-    if take_uniform {
-        LayerPlan {
-            mvm_index: samples.mvm_index,
-            label: samples.label.clone(),
-            scheme: AdcScheme::uniform(n_r2, uni_vgrid),
-            class,
-            mean_ops: uni_mean_ops,
-            mse: uni_mse,
-            rideal,
-        }
+    let (scheme, mean_ops, mse) = if take_uniform {
+        (AdcScheme::uniform(n_r2, uni_vgrid), uni_mean_ops, uni_mse)
     } else {
-        LayerPlan {
-            mvm_index: samples.mvm_index,
-            label: samples.label.clone(),
-            scheme: AdcScheme::Trq(trq_best.params),
-            class,
-            mean_ops: trq_mean_ops,
-            mse: trq_best.mse,
-            rideal,
-        }
-    }
+        (AdcScheme::Trq(trq_best.params), trq_mean_ops, trq_best.mse)
+    };
+    let (mvm_index, label) = (samples.mvm_index, samples.label.clone());
+    LayerPlan { mvm_index, label, scheme, class, mean_ops, mse, rideal }
 }
 
-/// Searches every layer, in parallel on the persistent worker pool.
-///
-/// Layers shard across one fork-join round of [`crate::exec::Pool`]
-/// (strided by participant index, written to per-layer slots), so the
-/// result order — and every plan in it — is identical to the sequential
-/// path for any worker count, and repeated searches reuse the same
-/// parked threads the MVM engines dispatch tiles to.
+/// Searches every layer at one `Nmax`, in layer order. On the exact
+/// histogram a layer's search takes well under a millisecond, so the
+/// whole network is searched on the calling thread.
 pub fn plan_network(
     samples: &[LayerSamples],
     arch: &ArchConfig,
     nmax: u32,
     settings: &CalibSettings,
 ) -> Vec<LayerPlan> {
-    let threads = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(8)
-        .min(samples.len().max(1));
-    if samples.len() <= 1 || threads == 1 {
-        return samples.iter().map(|smp| plan_layer(smp, arch, nmax, settings)).collect();
-    }
-    let slots: Vec<std::sync::Mutex<Option<LayerPlan>>> =
-        samples.iter().map(|_| std::sync::Mutex::new(None)).collect();
-    crate::exec::Pool::global().run(threads, &|w| {
-        let mut i = w;
-        while i < samples.len() {
-            let plan = plan_layer(&samples[i], arch, nmax, settings);
-            *slots[i].lock().unwrap_or_else(std::sync::PoisonError::into_inner) = Some(plan);
-            i += threads;
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                // lint: allow(unwrap): the strided loop visits every index
-                .expect("every layer slot filled")
-        })
-        .collect()
+    samples.iter().map(|smp| plan_layer(smp, arch, nmax, settings)).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trq_quant::Histogram;
+    use trq_quant::{quantizer_mse, Histogram};
 
     fn samples_from(values: Vec<f64>) -> LayerSamples {
         let mut hist = Histogram::new(0.0, 129.0, 129).unwrap();
         hist.extend(values.iter().copied());
-        LayerSamples { mvm_index: 0, label: "l0".into(), seen: values.len() as u64, values, hist }
+        LayerSamples { mvm_index: 0, label: "l0".into(), seen: values.len() as u64, hist }
     }
 
     fn skewed_values() -> Vec<f64> {
@@ -285,7 +255,7 @@ mod tests {
         let mut v = Vec::new();
         for i in 0..2000 {
             if i % 10 == 0 {
-                v.push(20.0 + (i % 800) as f64 / 10.0);
+                v.push((20.0 + (i % 800) as f64 / 10.0).floor());
             } else {
                 v.push((i % 7) as f64);
             }
@@ -342,10 +312,8 @@ mod tests {
     #[test]
     fn ops_cost_matches_direct_computation() {
         let values = skewed_values();
-        let mut sorted = values.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let params = TrqParams::new(3, 7, 2, 1.0, 0).unwrap();
-        let fast = trq_ops_cost(&sorted, &params);
+        let fast = trq_ops_cost(&samples_from(values.clone()).distribution(), &params);
         let q = TwinRangeQuantizer::new(params);
         let direct: f64 = values.iter().map(|&v| q.ops_for(v) as f64).sum();
         assert_eq!(fast, direct);
@@ -390,7 +358,7 @@ mod tests {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
                 s += (state >> 11) as f64 / (1u64 << 53) as f64;
             }
-            values.push((64.0 + (s - 6.0) * 3.0).clamp(0.0, 128.0));
+            values.push((64.0 + (s - 6.0) * 3.0).clamp(0.0, 128.0).floor());
         }
         values.push(0.0);
         values.push(128.0);
@@ -412,6 +380,120 @@ mod tests {
         let plan = plan_layer(&samples, &ArchConfig::default(), 7, &CalibSettings::default());
         assert_eq!(plan.scheme, AdcScheme::uniform(1, 1.0));
         assert_eq!(plan.mse, 0.0);
+    }
+
+    /// The search as it ran before plans were made on the histogram, kept
+    /// as a test oracle: the same Algorithm 1 steps over the expanded,
+    /// sorted sample list, with `quantizer_mse` per candidate and window
+    /// counts by `partition_point` on the samples. Returns (scheme, mse).
+    fn sorted_sample_reference(
+        values: &[f64],
+        arch: &ArchConfig,
+        nmax: u32,
+        s: &CalibSettings,
+    ) -> (AdcScheme, f64) {
+        let hist = samples_from(values.to_vec()).hist;
+        let mut sorted = values.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let n = sorted.len() as f64;
+        let cost = |p: &TrqParams| {
+            let lo = sorted.partition_point(|&v| v < p.theta_lo()) as f64;
+            let in_r1 = sorted.partition_point(|&v| v < p.theta_hi()) as f64 - lo;
+            p.nu() as f64 * n + in_r1 * p.n_r1() as f64 + (n - in_r1) * p.n_r2() as f64
+        };
+        let mse = |p: &TrqParams| {
+            let q = TwinRangeQuantizer::new(*p);
+            quantizer_mse(&sorted, |x| q.quantize(x).value)
+        };
+        let (ymax, ymin) = (hist.sample_max().max(0.0), hist.sample_min().max(0.0));
+        let class = DistributionClass::classify(&hist, &s.classifier);
+        let rideal = ((ymax - ymin + 1.0).log2().ceil() as u32).clamp(1, 16);
+        let n_r2 = nmax.min(rideal).max(1);
+        let full_codes = ((1u64 << arch.adc_bits) - 1) as f64;
+        let grid_lo = (s.alpha * ymax / full_codes).max(1e-6);
+        let grid_hi = (s.beta * ymax / full_codes).max(grid_lo * 1.0001);
+        let steps = s.candidates.max(2);
+        let grid = |k: usize| grid_lo + (grid_hi - grid_lo) * k as f64 / (steps - 1) as f64;
+        let mut per_grid = Vec::new(); // (params, cost, mse)
+        for k in 0..steps {
+            let rfull = ((ymax / grid(k) + 1.0).log2().ceil() as u32).clamp(n_r2, 16);
+            let mut best: Option<(TrqParams, f64, f64)> = None;
+            if class.has_sweet_spot() {
+                let m = (rfull - n_r2).min(s.m_max);
+                for n_r1 in 1..=n_r2 {
+                    let biases = match class {
+                        DistributionClass::IdealSkewed => 1,
+                        _ => 1u32 << rfull.saturating_sub(n_r1).min(8),
+                    };
+                    for bias in 0..biases {
+                        let Ok(p) = TrqParams::new(n_r1, n_r2, m, grid(k), bias) else { continue };
+                        if best.is_none_or(|b| cost(&p) < b.1) {
+                            best = Some((p, cost(&p), f64::NAN));
+                        }
+                    }
+                }
+                best = best.map(|(p, c, _)| (p, c, mse(&p)));
+            } else {
+                for m in 0..=s.m_max.min(16 - n_r2) {
+                    let delta = grid(k) * (1u64 << rfull.saturating_sub(n_r2 + m)) as f64;
+                    let Ok(p) = TrqParams::new(n_r2, n_r2, m, delta, 0) else { continue };
+                    if best.is_none_or(|b| mse(&p) < b.2) {
+                        best = Some((p, cost(&p), mse(&p)));
+                    }
+                }
+            }
+            per_grid.extend(best);
+        }
+        let min_mse = per_grid.iter().map(|c| c.2).fold(f64::INFINITY, f64::min);
+        let (trq, trq_cost, trq_mse) = per_grid
+            .into_iter()
+            .filter(|c| c.2 <= min_mse.max(f64::MIN_POSITIVE) * s.mse_guard)
+            .min_by(|a, b| a.1.total_cmp(&b.1).then(a.2.total_cmp(&b.2)))
+            .unwrap();
+        let (uni_vgrid, uni_mse) = (0..steps)
+            .map(|k| {
+                let q = UniformQuantizer::new(n_r2, grid(k)).unwrap();
+                (grid(k), quantizer_mse(&sorted, |x| q.quantize(x)))
+            })
+            .fold((0.0, f64::INFINITY), |b, c| if c.1 < b.1 { c } else { b });
+        let (trq_ops, uni_ops) = (trq_cost / n, n_r2 as f64);
+        if uni_ops < trq_ops && uni_mse <= trq_mse * s.mse_guard
+            || trq_mse > uni_mse * s.mse_guard && uni_ops <= trq_ops * 1.25
+        {
+            (AdcScheme::uniform(n_r2, uni_vgrid), uni_mse)
+        } else {
+            (AdcScheme::Trq(trq), trq_mse)
+        }
+    }
+
+    #[test]
+    fn plan_on_histogram_matches_sorted_sample_reference() {
+        let exponential: Vec<f64> = (0..3000u64)
+            .map(|i| (-6.0 * (1.0 - (i as f64 + 0.5) / 3000.0).ln()).min(90.0).floor())
+            .collect();
+        let flat: Vec<f64> = (0..2000).map(|i| (i % 120) as f64).collect();
+        let clustered: Vec<f64> =
+            (0..2000u64).map(|i| (60 + (i * i) % 9 + (i % 5)) as f64).chain([0.0, 128.0]).collect();
+        let arch = ArchConfig::default();
+        let settings = CalibSettings::default();
+        for (name, values) in [
+            ("skewed", skewed_values()),
+            ("exp", exponential),
+            ("flat", flat),
+            ("cluster", clustered),
+        ] {
+            let samples = samples_from(values.clone());
+            for nmax in [3, 5, 7] {
+                let plan = plan_layer(&samples, &arch, nmax, &settings);
+                let (scheme, mse) = sorted_sample_reference(&values, &arch, nmax, &settings);
+                assert_eq!(plan.scheme, scheme, "{name} at Nmax {nmax}");
+                assert!(
+                    (plan.mse - mse).abs() <= 1e-12 * mse.abs(),
+                    "{name} at Nmax {nmax}: mse {} vs reference {mse}",
+                    plan.mse
+                );
+            }
+        }
     }
 
     #[test]

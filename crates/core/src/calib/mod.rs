@@ -13,6 +13,7 @@ mod evaluate;
 mod layer_search;
 
 pub use evaluate::{collect_bl_samples, evaluate_plan, evaluate_plan_noisy, EvalMetric, PlanEval};
+pub(crate) use layer_search::best_uniform;
 pub use layer_search::{plan_layer, plan_network, CalibSettings, LayerPlan};
 
 use crate::arch::ArchConfig;

@@ -2,11 +2,12 @@
 //! remaining-operations series of Fig. 6c.
 
 use crate::arch::ArchConfig;
-use crate::calib::{collect_bl_samples, evaluate_plan, plan_network, CalibError, CalibSettings};
+use crate::calib::{
+    best_uniform, collect_bl_samples, evaluate_plan, plan_network, CalibError, CalibSettings,
+};
 use crate::experiments::workloads::Workload;
 use crate::pim::{AdcScheme, CollectorConfig, LayerSamples};
 use serde::{Deserialize, Serialize};
-use trq_quant::{quantizer_mse, UniformQuantizer};
 
 /// One x-axis point of Fig. 6: a configuration and its score.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -49,21 +50,10 @@ pub fn plan_uniform_network(
             if ymax <= 0.0 {
                 return AdcScheme::uniform(1, 1.0);
             }
-            let full_codes = ((1u64 << arch.adc_bits) - 1) as f64;
-            let lo = (settings.alpha * ymax / full_codes).max(1e-6);
-            let hi = (settings.beta * ymax / full_codes).max(lo * 1.0001);
-            let steps = settings.candidates.max(2);
-            let mut best = (lo, f64::INFINITY);
-            for k in 0..steps {
-                let vgrid = lo + (hi - lo) * k as f64 / (steps - 1) as f64;
-                // lint: allow(unwrap): bits and vgrid were validated above
-                let q = UniformQuantizer::new(bits, vgrid).expect("validated bits");
-                let mse = quantizer_mse(&layer.values, |x| q.quantize(x));
-                if mse < best.1 {
-                    best = (vgrid, mse);
-                }
-            }
-            AdcScheme::uniform(bits, best.0)
+            AdcScheme::uniform(
+                bits,
+                best_uniform(&layer.distribution(), ymax, bits, arch, settings).0,
+            )
         })
         .collect()
 }

@@ -52,18 +52,14 @@ use trq_xbar::{
     KernelTier, NoiseModel, WindowOcc,
 };
 
-/// Configuration for bit-line sample collection during calibration runs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CollectorConfig {
-    /// Maximum retained raw samples per layer (deterministic reservoir).
-    pub reservoir_cap: usize,
-}
-
-impl Default for CollectorConfig {
-    fn default() -> Self {
-        CollectorConfig { reservoir_cap: 1 << 15 }
-    }
-}
+/// Options for bit-line sample collection during calibration runs. It has
+/// no fields: the collector records every BL count exactly into
+/// [`LayerSamples::hist`], so there is nothing to tune. The type is kept so
+/// callers of [`crate::calib::collect_bl_samples`] (the `perfbench`
+/// harness among them) keep compiling.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[non_exhaustive]
+pub struct CollectorConfig;
 
 /// Collected bit-line statistics for one layer — the input to Algorithm 1.
 #[derive(Debug, Clone)]
@@ -72,12 +68,60 @@ pub struct LayerSamples {
     pub mvm_index: usize,
     /// Layer label.
     pub label: String,
-    /// Retained raw BL counts (pos and neg streams interleaved).
-    pub values: Vec<f64>,
-    /// Full histogram over the count domain `[0, S]`.
+    /// Exact histogram of every BL count seen (pos and neg streams), one
+    /// unit-width bin per count in `[0, S]`: bin `i` holds count `i`.
     pub hist: Histogram,
-    /// Total samples seen (may exceed `values.len()`).
+    /// Total samples seen; always equals `hist.count()`.
     pub seen: u64,
+}
+
+impl LayerSamples {
+    /// The count-weighted view of [`LayerSamples::hist`] that Algorithm 1
+    /// searches over.
+    #[must_use]
+    pub fn distribution(&self) -> CountDist {
+        let (mut values, mut prefix, mut total) = (Vec::new(), vec![0], 0);
+        for (count, &w) in self.hist.counts().iter().enumerate().filter(|(_, &w)| w > 0) {
+            total += w;
+            values.push(count as f64);
+            prefix.push(total);
+        }
+        CountDist { values, prefix }
+    }
+}
+
+/// A BL histogram as the distinct counts that occurred, ascending, plus
+/// prefix weights: a window query is one binary search and an MSE is a
+/// weighted sum over at most `S + 1` values, however many samples.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CountDist {
+    values: Vec<f64>,
+    /// `prefix[i]` = samples below `values[i]`; ends with the total.
+    prefix: Vec<u64>,
+}
+
+impl CountDist {
+    /// Total number of samples.
+    #[must_use]
+    pub fn total(&self) -> u64 {
+        self.prefix[self.values.len()]
+    }
+
+    /// Number of samples strictly below `x`.
+    #[must_use]
+    pub fn below(&self, x: f64) -> u64 {
+        self.prefix[self.values.partition_point(|&v| v < x)]
+    }
+
+    /// Mean squared error of the samples under `quantize` (Eq. 10); NaN
+    /// when there are no samples.
+    pub fn mse<F: Fn(f64) -> f64>(&self, quantize: F) -> f64 {
+        let weighted = self.values.iter().zip(self.prefix.windows(2)).map(|(&v, w)| {
+            let e = quantize(v) - v;
+            (w[1] - w[0]) as f64 * e * e
+        });
+        weighted.sum::<f64>() / self.total() as f64
+    }
 }
 
 struct Programmed {
@@ -212,6 +256,9 @@ struct WorkerArena {
     done: Vec<(usize, usize)>,
     /// Event tally, merged into the layer ledger in the account stage.
     events: TileEvents,
+    /// Calibration only: BL count histogram of the round (index = count),
+    /// merged into the layer's [`LayerSamples`] in the account stage.
+    bl_counts: Vec<u64>,
 }
 
 impl WorkerArena {
@@ -229,6 +276,7 @@ impl WorkerArena {
             + self.scratch.counts_neg.capacity() * size_of::<u32>()
             + self.acc_pool.capacity() * size_of::<i64>()
             + self.done.capacity() * size_of::<(usize, usize)>()
+            + self.bl_counts.capacity() * size_of::<u64>()
     }
 }
 
@@ -405,9 +453,8 @@ fn execute_tile(
     }
 }
 
-/// Mixes one more component into a splitmix64 hash chain — the same
-/// finalizer the calibration reservoir uses, applied per key component so
-/// noise draws are a pure function of their slot coordinates.
+/// Mixes one more component into a splitmix64 hash chain, applied per key
+/// component so noise draws are a pure function of their slot coordinates.
 fn mix64(h: u64, v: u64) -> u64 {
     let mut z = h ^ v.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -476,11 +523,11 @@ impl CountNoise {
 /// two back-to-back scalar popcount passes per subarray, then an
 /// element-wise decode of every count — no fusion, no specialisation, no
 /// skipping. Property tests pin the specialised path bit-identical to
-/// this one, values and ledgers. When `on_count` is given (calibration),
-/// every pos/neg BL count of the tile is fed to it in a deterministic
-/// per-tile counts pass. When `noise` is given (device-noise emulation),
-/// each count is perturbed before decode — the ADC digitises the noisy
-/// current; the calibration sink still sees raw counts.
+/// this one, values and ledgers. When `bl_counts` is given (calibration),
+/// every pos/neg BL count of the tile is tallied into it (index = count).
+/// When `noise` is given (device-noise emulation), each count is perturbed
+/// before decode — the ADC digitises the noisy current; the calibration
+/// tally still sees raw counts.
 #[allow(clippy::too_many_arguments)]
 fn execute_tile_scalar(
     prog: &Programmed,
@@ -491,7 +538,7 @@ fn execute_tile_scalar(
     scratch: &mut TileScratch,
     acc: &mut [i64],
     events: &mut TileEvents,
-    mut on_count: Option<&mut dyn FnMut(u32)>,
+    mut bl_counts: Option<&mut [u64]>,
     noise: Option<&CountNoise>,
 ) {
     debug_assert_eq!(acc.len(), tile.len(), "tile accumulator must match the tile volume");
@@ -544,12 +591,9 @@ fn execute_tile_scalar(
             }
         }
         events.conversions += 2 * volume as u64;
-        if let Some(sink) = on_count.as_deref_mut() {
-            // per-tile counts pass: the collector consumes the raw BL
-            // counts outside the arithmetic loop, pos/neg interleaved
-            for (&cp, &cn) in scratch.counts_pos.iter().zip(scratch.counts_neg.iter()) {
-                sink(cp);
-                sink(cn);
+        if let Some(hist) = bl_counts.as_deref_mut() {
+            for &count in scratch.counts_pos.iter().chain(&scratch.counts_neg) {
+                hist[count as usize] += 1;
             }
         }
     }
@@ -569,7 +613,8 @@ pub struct PimMvm {
     plan: Vec<AdcScheme>,
     programmed: HashMap<usize, Programmed>,
     stats: PimStats,
-    collector: Option<CollectorConfig>,
+    /// Calibration mode: tally every BL count into `samples`.
+    collect: bool,
     samples: HashMap<usize, LayerSamples>,
     /// Device non-idealities, `None` when ideal — the ideal path never
     /// pays a noise check beyond this `Option` (see
@@ -634,7 +679,7 @@ impl PimMvm {
             plan,
             programmed: HashMap::new(),
             stats: PimStats::default(),
-            collector: None,
+            collect: false,
             samples: HashMap::new(),
             noise: None,
             noise_epoch: 0,
@@ -727,13 +772,16 @@ impl PimMvm {
             + self.acc.capacity() * size_of::<i64>()
     }
 
-    /// Creates an engine that additionally collects BL samples per layer
-    /// (calibration mode). The scheme is forced to [`AdcScheme::Ideal`] so
-    /// the collected distribution is the true one, and tiles run serially
-    /// in deterministic order so the retained reservoir is reproducible.
-    pub fn collector(arch: ArchConfig, layers: usize, config: CollectorConfig) -> Self {
-        let mut engine = PimMvm::new(arch, vec![AdcScheme::Ideal; layers]);
-        engine.collector = Some(config);
+    /// Creates an engine that additionally collects the BL count histogram
+    /// of every layer (calibration mode). Its plan is empty, so every
+    /// layer converts with [`AdcScheme::Ideal`] and the collected
+    /// distribution is the true one.
+    /// Tile rounds run at the configured thread count: each worker tallies
+    /// into its own arena and the integer tallies merge by addition, so
+    /// the histograms are identical for every thread count.
+    pub fn collector(arch: ArchConfig) -> Self {
+        let mut engine = PimMvm::new(arch, Vec::new());
+        engine.collect = true;
         engine
     }
 
@@ -947,43 +995,6 @@ impl PimMvm {
         self.programmed.insert(info.mvm_index, Programmed { subarrays, lut });
     }
 
-    fn record_sample(
-        samples: &mut HashMap<usize, LayerSamples>,
-        cfg: &CollectorConfig,
-        info: &MvmLayerInfo,
-        max_count: u32,
-        count: u32,
-    ) {
-        let entry = samples.entry(info.mvm_index).or_insert_with(|| LayerSamples {
-            mvm_index: info.mvm_index,
-            label: info.label.clone(),
-            values: Vec::new(),
-            hist: Histogram::new(0.0, (max_count + 1) as f64, (max_count + 1) as usize)
-                // lint: allow(unwrap): `max_count + 1 >= 1` bins, hi > lo
-                .expect("non-empty count domain"),
-            seen: 0,
-        });
-        entry.hist.record(count as f64);
-        entry.seen += 1;
-        if entry.values.len() < cfg.reservoir_cap {
-            entry.values.push(count as f64);
-        } else {
-            // Algorithm R: the incoming sample replaces a uniformly random
-            // reservoir slot with probability cap/seen — drawn as a
-            // uniform slot in [0, seen) from a splitmix64 stream keyed by
-            // the sample ordinal, so collection stays deterministic
-            // without an RNG dependency in the hot path
-            let mut z = entry.seen.wrapping_mul(0x9E3779B97F4A7C15);
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-            z ^= z >> 31;
-            let slot = (z % entry.seen) as usize;
-            if slot < cfg.reservoir_cap {
-                entry.values[slot] = count as f64;
-            }
-        }
-    }
-
     /// Folds a tile-local accumulator into the layer accumulator.
     fn fold_tile(acc: &mut [i64], n: usize, tile: Tile, tile_acc: &[i64]) {
         debug_assert_eq!(tile_acc.len(), tile.len(), "arena slice must match the tile");
@@ -1060,11 +1071,7 @@ impl MvmEngine for PimMvm {
             o0 = o1;
         }
 
-        let threads = if self.collector.is_some() {
-            1 // calibration keeps a deterministic sample order
-        } else {
-            exec.effective_threads().clamp(1, self.tiles.len().max(1))
-        };
+        let threads = exec.effective_threads().clamp(1, self.tiles.len().max(1));
         while self.arenas.len() < threads {
             self.arenas.push(Mutex::new(WorkerArena::default()));
         }
@@ -1076,6 +1083,7 @@ impl MvmEngine for PimMvm {
         let occ = &self.occ[..n_sub];
         let tier = self.tier;
         let tiles = &self.tiles;
+        let collect = self.collect;
         // count-level device noise (σ_prog / σ_read): one stream per
         // (seed, layer, epoch); stuck-at-only noise leaves this None and
         // keeps the fused kernel path
@@ -1094,23 +1102,53 @@ impl MvmEngine for PimMvm {
         // Dispatch::Scope keeps the scalar reference datapath end to end
         // (the baseline the specialised kernels are benchmarked and
         // property-tested against); calibration also stays scalar so the
-        // counts pass sees every slot of every tile. Count noise forces
+        // counts tally sees every slot of every tile. Count noise forces
         // scalar too: the skip kernels fold zero-count conversions in
         // closed form, which would silently bypass the perturbation.
-        let scalar =
-            exec.dispatch == Dispatch::Scope || self.collector.is_some() || count_noise.is_some();
-        let mut events = TileEvents::default();
-        if threads <= 1 {
-            // serial round on the calling thread, arena slot 0 (the only
-            // path that may carry the calibration counts sink)
-            let samples = &mut self.samples;
-            let mut sink = self.collector.map(|cfg| {
-                move |count: u32| Self::record_sample(samples, &cfg, info, max_count, count)
-            });
-            let arena = self.arenas[0].get_mut().unwrap_or_else(std::sync::PoisonError::into_inner);
-            for &tile in tiles {
-                arena.acc_pool.clear();
-                arena.acc_pool.resize(tile.len(), 0);
+        let scalar = exec.dispatch == Dispatch::Scope || collect || count_noise.is_some();
+        // a fork-join tile round (inline on the caller at one thread):
+        // participants claim tiles from the shared counter and execute
+        // them into their own arena; the account stage below folds arena
+        // results in slot order, so the outcome is independent of which
+        // worker ran which tile
+        let max_tile = tiles.iter().map(|t| t.len()).max().unwrap_or(0);
+        for slot in &mut self.arenas[..threads] {
+            let arena = slot.get_mut().unwrap_or_else(std::sync::PoisonError::into_inner);
+            arena.reset_round();
+            // reserve worst-case round capacity up front (one worker
+            // could claim every tile) so capacities stay monotone and
+            // rounds never allocate after the first call per shape —
+            // count scratch included: which tiles a slot claims is
+            // scheduling-dependent, and a busy-pool fallback round
+            // runs every slot inline on the caller, so a lazily-sized
+            // arena would allocate there mid-steady-state
+            arena.acc_pool.reserve(info.outputs * n);
+            arena.done.reserve(tiles.len());
+            // scratch keeps its logical length across rounds (stale
+            // contents are overwritten), so reserve only the shortfall
+            let volume = ibits * wbits * max_tile;
+            let pos = &mut arena.scratch.counts_pos;
+            pos.reserve(volume.saturating_sub(pos.len()));
+            let neg = &mut arena.scratch.counts_neg;
+            neg.reserve(volume.saturating_sub(neg.len()));
+            if collect {
+                arena.bl_counts.clear();
+                arena.bl_counts.resize(max_count as usize + 1, 0);
+            }
+        }
+        let next = AtomicUsize::new(0);
+        let arenas = &self.arenas;
+        let worker = |w: usize| {
+            let mut arena = arenas[w].lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+            let arena = &mut *arena;
+            loop {
+                let t = next.fetch_add(1, Ordering::Relaxed);
+                if t >= tiles.len() {
+                    break;
+                }
+                let tile = tiles[t];
+                let offset = arena.acc_pool.len();
+                arena.acc_pool.resize(offset + tile.len(), 0);
                 if scalar {
                     execute_tile_scalar(
                         prog,
@@ -1119,9 +1157,9 @@ impl MvmEngine for PimMvm {
                         wbits,
                         ibits,
                         &mut arena.scratch,
-                        &mut arena.acc_pool,
-                        &mut events,
-                        sink.as_mut().map(|f| f as &mut dyn FnMut(u32)),
+                        &mut arena.acc_pool[offset..],
+                        &mut arena.events,
+                        collect.then_some(&mut arena.bl_counts[..]),
                         count_noise.as_ref(),
                     );
                 } else {
@@ -1134,108 +1172,59 @@ impl MvmEngine for PimMvm {
                         wbits,
                         ibits,
                         &mut arena.scratch,
-                        &mut arena.acc_pool,
-                        &mut events,
+                        &mut arena.acc_pool[offset..],
+                        &mut arena.events,
                     );
                 }
-                Self::fold_tile(&mut self.acc, n, tile, &arena.acc_pool);
+                arena.done.push((t, offset));
             }
-        } else {
-            // a fork-join tile round: participants claim tiles from the
-            // shared counter and execute them into their own arena; the
-            // account stage below folds arena results in slot order, so
-            // the outcome is independent of which worker ran which tile
-            let max_tile = tiles.iter().map(|t| t.len()).max().unwrap_or(0);
-            for slot in &self.arenas[..threads] {
-                let mut arena = slot.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                arena.reset_round();
-                // reserve worst-case round capacity up front (one worker
-                // could claim every tile) so capacities stay monotone and
-                // rounds never allocate after the first call per shape —
-                // count scratch included: which tiles a slot claims is
-                // scheduling-dependent, and a busy-pool fallback round
-                // runs every slot inline on the caller, so a lazily-sized
-                // arena would allocate there mid-steady-state
-                arena.acc_pool.reserve(info.outputs * n);
-                arena.done.reserve(tiles.len());
-                // scratch keeps its logical length across rounds (stale
-                // contents are overwritten), so reserve only the shortfall
-                let volume = ibits * wbits * max_tile;
-                let pos = &mut arena.scratch.counts_pos;
-                pos.reserve(volume.saturating_sub(pos.len()));
-                let neg = &mut arena.scratch.counts_neg;
-                neg.reserve(volume.saturating_sub(neg.len()));
-            }
-            let next = AtomicUsize::new(0);
-            let arenas = &self.arenas;
-            let worker = |w: usize| {
-                let mut arena = arenas[w].lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                let arena = &mut *arena;
-                loop {
-                    let t = next.fetch_add(1, Ordering::Relaxed);
-                    if t >= tiles.len() {
-                        break;
-                    }
-                    let tile = tiles[t];
-                    let offset = arena.acc_pool.len();
-                    arena.acc_pool.resize(offset + tile.len(), 0);
-                    if scalar {
-                        execute_tile_scalar(
-                            prog,
-                            planes,
-                            tile,
-                            wbits,
-                            ibits,
-                            &mut arena.scratch,
-                            &mut arena.acc_pool[offset..],
-                            &mut arena.events,
-                            None,
-                            count_noise.as_ref(),
-                        );
-                    } else {
-                        execute_tile(
-                            prog,
-                            planes,
-                            occ,
-                            tier,
-                            tile,
-                            wbits,
-                            ibits,
-                            &mut arena.scratch,
-                            &mut arena.acc_pool[offset..],
-                            &mut arena.events,
-                        );
-                    }
-                    arena.done.push((t, offset));
+        };
+        match exec.dispatch {
+            Dispatch::Pool => self.pool.run(threads, &worker),
+            Dispatch::Scope => std::thread::scope(|scope| {
+                let worker = &worker;
+                for w in 1..threads {
+                    scope.spawn(move || worker(w));
                 }
-            };
-            match exec.dispatch {
-                Dispatch::Pool => self.pool.run(threads, &worker),
-                Dispatch::Scope => std::thread::scope(|scope| {
-                    let worker = &worker;
-                    for w in 1..threads {
-                        scope.spawn(move || worker(w));
-                    }
-                    worker(0);
-                }),
-            }
-            for slot in &mut self.arenas[..threads] {
-                let arena = slot.get_mut().unwrap_or_else(std::sync::PoisonError::into_inner);
-                events.merge(&arena.events);
-                arena.events = TileEvents::default();
-                for &(t, offset) in &arena.done {
-                    let tile = self.tiles[t];
-                    Self::fold_tile(
-                        &mut self.acc,
-                        n,
-                        tile,
-                        &arena.acc_pool[offset..offset + tile.len()],
-                    );
-                }
-            }
+                worker(0);
+            }),
         }
 
         // ── account ───────────────────────────────────────────────────
+        // arena tallies merge by integer addition in slot order, so the
+        // ledger, the accumulator and the calibration histogram are the
+        // same for every thread count
+        let mut samples = collect.then(|| {
+            self.samples.entry(info.mvm_index).or_insert_with(|| LayerSamples {
+                mvm_index: info.mvm_index,
+                label: info.label.clone(),
+                hist: Histogram::new(0.0, f64::from(max_count + 1), max_count as usize + 1)
+                    // lint: allow(unwrap): `max_count + 1 >= 1` bins, hi > lo
+                    .expect("non-empty count domain"),
+                seen: 0,
+            })
+        });
+        let mut events = TileEvents::default();
+        for slot in &mut self.arenas[..threads] {
+            let arena = slot.get_mut().unwrap_or_else(std::sync::PoisonError::into_inner);
+            events.merge(&arena.events);
+            arena.events = TileEvents::default();
+            for &(t, offset) in &arena.done {
+                let tile = self.tiles[t];
+                Self::fold_tile(
+                    &mut self.acc,
+                    n,
+                    tile,
+                    &arena.acc_pool[offset..offset + tile.len()],
+                );
+            }
+            if let Some(entry) = samples.as_mut() {
+                for (count, &k) in arena.bl_counts.iter().enumerate().filter(|(_, &k)| k > 0) {
+                    entry.hist.record_n(count as f64, k);
+                    entry.seen += k;
+                }
+            }
+        }
         let n_sub = prog.subarrays.len() as u64;
         let delta = prog.lut.delta;
         let phys = self.arch.physical_xbars_for_outputs(info.outputs) as u64;
@@ -1261,9 +1250,6 @@ impl MvmEngine for PimMvm {
         // warm the executor once per batch: spawn any missing pool
         // workers and size the arena slots, so every layer call of the
         // session dispatches onto already-parked threads
-        if self.collector.is_some() {
-            return;
-        }
         let threads = self.arch.exec.effective_threads().max(1);
         while self.arenas.len() < threads {
             self.arenas.push(Mutex::new(WorkerArena::default()));
@@ -1389,58 +1375,70 @@ mod tests {
         let info = info(64, 2);
         let weights: Vec<i32> = (0..64 * 2).map(|i| (i % 5) - 2).collect();
         let cols: Vec<u8> = (0..64 * 4).map(|i| (i % 7) as u8 * 30).collect();
-        let mut pim = PimMvm::collector(arch, 1, CollectorConfig { reservoir_cap: 512 });
+        let mut pim = PimMvm::collector(arch);
         let _ = pim.mvm(&info, &weights, &cols, 4);
         let samples = pim.take_samples();
         assert_eq!(samples.len(), 1);
         let s = &samples[0];
         assert!(s.seen > 0);
-        assert!(!s.values.is_empty());
-        assert!(s.values.len() <= 512);
         assert_eq!(s.hist.count(), s.seen);
+        // every conversion of the layer is one BL sample
+        assert_eq!(s.seen, pim.stats().conversions());
         // BL counts are bounded by the array rows
         assert!(s.hist.sample_max() <= 128.0);
     }
 
-    #[test]
-    fn collector_is_deterministic_even_with_threads_requested() {
+    /// Collects one layer with a threaded engine config, ragged tiles.
+    fn collect_at(threads: usize) -> LayerSamples {
         let mut arch = arch();
-        arch.exec = ExecConfig::serial().with_threads(4);
-        let info = info(96, 3);
-        let weights: Vec<i32> = (0..96 * 3).map(|i: i32| (i % 9) - 4).collect();
-        let cols: Vec<u8> = (0..96 * 5).map(|i| (i % 11) as u8 * 20).collect();
-        let run = |arch: &ArchConfig| {
-            let mut pim = PimMvm::collector(*arch, 1, CollectorConfig { reservoir_cap: 64 });
-            let _ = pim.mvm(&info, &weights, &cols, 5);
-            pim.take_samples()
-        };
-        let a = run(&arch);
-        let b = run(&arch);
-        assert_eq!(a[0].values, b[0].values, "reservoir must be reproducible");
-        assert_eq!(a[0].seen, b[0].seen);
+        arch.exec = ExecConfig::serial().with_threads(threads).with_tile_outputs(2);
+        let info = info(200, 5);
+        let weights: Vec<i32> = (0..200 * 5).map(|i: i32| ((i * 7) % 255) - 127).collect();
+        let cols: Vec<u8> = (0..200 * 5).map(|i| ((i * 13) % 256) as u8).collect();
+        let mut pim = PimMvm::collector(arch);
+        let _ = pim.mvm(&info, &weights, &cols, 5);
+        let _ = pim.mvm(&info, &weights, &cols[..200 * 4], 4);
+        pim.take_samples().remove(0)
     }
 
     #[test]
-    fn reservoir_replacement_covers_all_slots_uniformly() {
-        // Algorithm R with cap ≪ seen: every slot must remain reachable
-        // and the retained values must span the late part of the stream
-        let arch = arch();
-        let info = info(128, 4);
-        let weights: Vec<i32> = (0..128 * 4).map(|i: i32| ((i * 7) % 255) - 127).collect();
-        let cols: Vec<u8> = (0..128 * 8).map(|i| ((i * 13) % 256) as u8).collect();
-        let mut pim = PimMvm::collector(arch, 1, CollectorConfig { reservoir_cap: 32 });
-        let _ = pim.mvm(&info, &weights, &cols, 8);
-        let samples = pim.take_samples();
-        let s = &samples[0];
-        assert_eq!(s.values.len(), 32);
-        assert!(s.seen > 1000, "stream must be far longer than the reservoir: {}", s.seen);
-        // acceptance rate after the fill phase must be ≈ cap/seen, which
-        // for a long stream means *some* but not most slots got replaced —
-        // a constant-slot bug would either freeze the reservoir at the
-        // first 32 samples or churn a single slot only
-        let distinct: std::collections::HashSet<u64> =
-            s.values.iter().map(|v| v.to_bits()).collect();
-        assert!(distinct.len() > 2, "reservoir collapsed: {:?}", s.values);
+    fn collector_is_deterministic_even_with_threads_requested() {
+        let (a, b) = (collect_at(4), collect_at(4));
+        assert_eq!(a.hist, b.hist, "histogram must be reproducible");
+        assert_eq!(a.seen, b.seen);
+        assert_eq!(a.seen, a.hist.count());
+        assert_eq!(a.hist.counts().iter().sum::<u64>(), a.seen);
+    }
+
+    #[test]
+    fn collector_histogram_is_identical_at_every_thread_count() {
+        let serial = collect_at(1);
+        assert!(serial.seen > 1000, "stream must span many tiles: {}", serial.seen);
+        for threads in [2, 4] {
+            let threaded = collect_at(threads);
+            // counts and moments alike: `Histogram` equality compares the
+            // f64 moment sums bit for bit
+            assert_eq!(threaded.hist, serial.hist, "{threads} threads changed the histogram");
+            assert_eq!(threaded.seen, threaded.hist.count());
+        }
+    }
+
+    #[test]
+    fn count_dist_answers_window_and_mse_queries() {
+        let mut hist = Histogram::new(0.0, 9.0, 9).unwrap();
+        let samples = [0.0, 0.0, 1.0, 3.0, 3.0, 3.0, 8.0];
+        hist.extend(samples);
+        let samples_view = LayerSamples { mvm_index: 0, label: "t".into(), hist, seen: 7 };
+        let dist = samples_view.distribution();
+        assert_eq!(dist.total(), 7);
+        assert_eq!(dist.below(0.0), 0);
+        assert_eq!(dist.below(0.5), 2);
+        assert_eq!(dist.below(3.0), 3);
+        assert_eq!(dist.below(3.5), 6);
+        assert_eq!(dist.below(100.0), 7);
+        let halve = |x: f64| (x / 2.0).floor() * 2.0;
+        let want = trq_quant::quantizer_mse(&samples, halve);
+        assert!((dist.mse(halve) - want).abs() <= 1e-12 * want);
     }
 
     #[test]

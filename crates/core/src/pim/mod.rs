@@ -25,7 +25,8 @@ mod scheme;
 mod stats;
 
 pub use engine::{
-    CollectorConfig, LayerSamples, PimMvm, ProgramImportError, ProgrammedLayerState, SubarrayState,
+    CollectorConfig, CountDist, LayerSamples, PimMvm, ProgramImportError, ProgrammedLayerState,
+    SubarrayState,
 };
 pub use scheme::AdcScheme;
 pub use stats::{LayerStats, PimStats};

@@ -69,7 +69,14 @@ impl Histogram {
 
     /// Records a sample; values outside the range clamp to the edge bins.
     pub fn record(&mut self, x: f64) {
-        if !x.is_finite() {
+        self.record_n(x, 1);
+    }
+
+    /// Records `k` copies of `x` at once. Equal to `k` calls of
+    /// [`Histogram::record`] whenever the moment sums are exact, as they
+    /// are for integer samples (BL counts) with sums below 2^53.
+    pub fn record_n(&mut self, x: f64, k: u64) {
+        if !x.is_finite() || k == 0 {
             return;
         }
         let width = (self.hi - self.lo) / self.counts.len() as f64;
@@ -81,11 +88,12 @@ impl Histogram {
         } else {
             idx as usize
         };
-        self.counts[idx] += 1;
-        self.n += 1;
-        self.sum += x;
-        self.sum_sq += x * x;
-        self.sum_cu += x * x * x;
+        let kf = k as f64;
+        self.counts[idx] += k;
+        self.n += k;
+        self.sum += kf * x;
+        self.sum_sq += kf * x * x;
+        self.sum_cu += kf * x * x * x;
         self.min = self.min.min(x);
         self.max = self.max.max(x);
     }
@@ -284,6 +292,19 @@ mod tests {
         let mut h = Histogram::new(0.0, 1.0, 2).unwrap();
         h.record(f64::NAN);
         assert_eq!(h.count(), 0);
+    }
+
+    #[test]
+    fn record_n_equals_repeated_record() {
+        let mut one_by_one = Histogram::new(0.0, 129.0, 129).unwrap();
+        let mut batched = one_by_one.clone();
+        for (x, k) in [(0.0, 5u64), (3.0, 1000), (128.0, 7), (17.0, 0)] {
+            for _ in 0..k {
+                one_by_one.record(x);
+            }
+            batched.record_n(x, k);
+        }
+        assert_eq!(batched, one_by_one);
     }
 
     #[test]

@@ -338,11 +338,13 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<ModelSnapshot, StoreError> {
     let payload_len = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
     // lint: allow(unwrap): literal-width slices — try_into cannot fail
     let checksum = u64::from_le_bytes(bytes[20..28].try_into().expect("8 bytes"));
-    let expected = HEADER_LEN as u64 + payload_len;
+    // saturating: a hostile length near u64::MAX must not wrap past the
+    // truncation check
+    let expected = (HEADER_LEN as u64).saturating_add(payload_len);
     if (bytes.len() as u64) < expected {
         return Err(StoreError::Truncated { expected, got: bytes.len() as u64 });
     }
-    let payload = &bytes[HEADER_LEN..HEADER_LEN + payload_len as usize];
+    let payload = &bytes[HEADER_LEN..expected as usize];
     let got = fnv1a64(payload);
     if got != checksum {
         return Err(StoreError::ChecksumMismatch { expected: checksum, got });

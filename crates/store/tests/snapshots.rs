@@ -171,17 +171,45 @@ fn payload_bit_rot_is_rejected_by_checksum() {
     assert!(matches!(decode_snapshot(&bytes), Err(StoreError::ChecksumMismatch { .. })));
 }
 
+/// A well-formed envelope header declaring `payload_len` bytes, followed
+/// by `payload` with its correct checksum.
+fn envelope(payload: &[u8], payload_len: u64) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    bytes.extend_from_slice(&MAGIC);
+    bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    bytes.extend_from_slice(&payload_len.to_le_bytes());
+    bytes.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+    bytes.extend_from_slice(payload);
+    bytes
+}
+
 #[test]
 fn well_framed_garbage_payload_is_a_decode_error() {
     // a correctly checksummed envelope around bytes that are not a
     // ModelSnapshot: framing passes, decoding must fail typed
     let payload = br#"{"definitely": "not a snapshot"}"#;
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(&MAGIC);
-    bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    bytes.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-    bytes.extend_from_slice(payload);
+    let bytes = envelope(payload, payload.len() as u64);
+    assert!(matches!(decode_snapshot(&bytes), Err(StoreError::Decode { .. })));
+}
+
+#[test]
+fn header_length_overflow_is_truncated_not_a_panic() {
+    // a bare 28-byte header whose payload length makes `HEADER_LEN + len`
+    // wrap to 0: the truncation check must still reject it
+    let bytes = envelope(&[], u64::MAX - (HEADER_LEN as u64 - 1));
+    assert_eq!(bytes.len(), HEADER_LEN);
+    match decode_snapshot(&bytes) {
+        Err(StoreError::Truncated { got, .. }) => assert_eq!(got, HEADER_LEN as u64),
+        other => panic!("expected Truncated, got {other:?}"),
+    }
+}
+
+#[test]
+fn nesting_bomb_payload_is_a_decode_error_not_an_abort() {
+    // 2 MiB of `[` under a correct checksum: a recursive parser without a
+    // depth limit overflows the stack and aborts the whole process
+    let payload = vec![b'['; 2 << 20];
+    let bytes = envelope(&payload, payload.len() as u64);
     assert!(matches!(decode_snapshot(&bytes), Err(StoreError::Decode { .. })));
 }
 

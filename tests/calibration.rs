@@ -5,7 +5,7 @@
 use trq::core::arch::ArchConfig;
 use trq::core::calib::{collect_bl_samples, plan_network, CalibSettings};
 use trq::core::experiments::{SuiteConfig, Workload};
-use trq::core::pim::{AdcScheme, CollectorConfig};
+use trq::core::pim::{AdcScheme, CollectorConfig, PimMvm};
 
 #[test]
 fn calibration_is_deterministic() {
@@ -81,21 +81,20 @@ fn mse_grows_as_bits_shrink() {
 }
 
 #[test]
-fn collector_reservoirs_are_bounded() {
+fn collector_histograms_count_every_sample() {
     let w = Workload::lenet5(&SuiteConfig::quick());
     let arch = ArchConfig::default();
-    let cap = 1024usize;
-    let samples = collect_bl_samples(
-        &w.qnet,
-        &arch,
-        &w.cal_images[..2],
-        CollectorConfig { reservoir_cap: cap },
-    )
-    .unwrap();
+    let mut engine = PimMvm::collector(arch);
+    w.qnet.forward_batch(&w.cal_images[..2], &mut engine).unwrap();
+    let samples = engine.take_samples();
+    assert_eq!(samples.len(), w.qnet.layers().len());
     for s in &samples {
-        assert!(s.values.len() <= cap, "{} reservoir overflowed: {}", s.label, s.values.len());
-        assert!(s.seen >= s.values.len() as u64);
-        // histogram sees everything, reservoir is a subset
-        assert_eq!(s.hist.count(), s.seen);
+        assert_eq!(s.hist.count(), s.seen, "{}", s.label);
+        assert_eq!(s.hist.counts().iter().sum::<u64>(), s.seen, "{}", s.label);
+        // one unit-width bin per BL count in [0, rows]
+        assert_eq!(s.hist.counts().len(), arch.xbar.rows + 1);
+        assert!(s.hist.sample_max() <= arch.xbar.rows as f64);
+        // every conversion of the layer is one BL sample
+        assert_eq!(s.seen, engine.stats().layers[s.mvm_index].conversions, "{}", s.label);
     }
 }
